@@ -57,138 +57,47 @@ pub struct ProcessClustering {
 impl ProcessClustering {
     /// Clusters the processes of `matrix`.
     pub fn compute(matrix: &SosMatrix, config: ClusterConfig) -> ProcessClustering {
+        ProcessClustering::compute_capped(matrix, config, usize::MAX)
+    }
+
+    /// [`ProcessClustering::compute`], then — if the threshold stopped
+    /// with more than `cap` clusters — keeps merging down to `cap`. The
+    /// greedy merge order does not depend on the stop rule, so this
+    /// equals re-clustering with `num_clusters: Some(cap)` without
+    /// redoing the merges the threshold pass already made.
+    pub(crate) fn compute_capped(
+        matrix: &SosMatrix,
+        config: ClusterConfig,
+        cap: usize,
+    ) -> ProcessClustering {
         let p = matrix.num_processes();
         if p == 0 {
             return ProcessClustering {
                 clusters: Vec::new(),
             };
         }
-        // Pad ragged rows with zeros to a rectangular profile matrix.
-        let width = (0..p)
-            .map(|i| matrix.process_sos(ProcessId::from_index(i)).len())
-            .max()
-            .unwrap_or(0);
-        let profiles: Vec<Vec<f64>> = (0..p)
-            .map(|i| {
-                let row = matrix.process_sos(ProcessId::from_index(i));
-                let mut v: Vec<f64> = row.iter().map(|d| d.0 as f64).collect();
-                v.resize(width, 0.0);
-                v
-            })
-            .collect();
-
-        // Scale threshold by the RMS of all values.
-        let rms = {
-            let (sum, n) = profiles
-                .iter()
-                .flatten()
-                .fold((0.0f64, 0usize), |(s, n), v| (s + v * v, n + 1));
-            if n == 0 {
-                0.0
-            } else {
-                (sum / n as f64).sqrt()
-            }
-        };
-        // An all-idle run (every SOS value zero) has rms == 0; the stop
-        // distance is then exactly 0 so identical (all-zero) profiles
-        // still merge — the break below only fires on `d > stop_distance`.
-        let stop_distance = if rms == 0.0 {
-            0.0
-        } else {
-            config.distance_threshold * rms
-        };
-
-        // Agglomerative, average linkage via centroid bookkeeping.
-        struct Node {
-            members: Vec<usize>,
-            centroid: Vec<f64>,
-        }
-        let mut nodes: Vec<Option<Node>> = profiles
-            .iter()
-            .enumerate()
-            .map(|(i, prof)| {
-                Some(Node {
-                    members: vec![i],
-                    centroid: prof.clone(),
-                })
-            })
-            .collect();
-        let mut active = p;
+        // The profiles become the initial centroids; the medoids are
+        // picked from the matrix rows afterwards, so no second copy.
+        let profiles = padded_profiles(matrix);
+        let stop_distance = stop_distance(&profiles, config.distance_threshold);
         let target = config.num_clusters.map(|k| k.max(1));
-        loop {
-            if active <= 1 {
-                break;
-            }
-            if let Some(k) = target {
-                if active <= k {
-                    break;
-                }
-            }
-            // Find closest pair of centroids. Ties are broken by the
-            // lowest member rank of the pair: because a merge always
-            // folds the higher slot into the lower one, a node's slot
-            // index *is* its lowest member rank, so ordering equidistant
-            // pairs by `(i, j)` is exactly the deterministic
-            // lowest-member-rank rule (mirroring the dominant-function
-            // tie fix).
-            let mut best: Option<(usize, usize, f64)> = None;
-            for i in 0..nodes.len() {
-                let Some(a) = &nodes[i] else { continue };
-                for (j, node) in nodes.iter().enumerate().skip(i + 1) {
-                    let Some(b) = node else { continue };
-                    let d = euclidean(&a.centroid, &b.centroid);
-                    let better = match best {
-                        None => true,
-                        Some((bi, bj, bd)) => match d.total_cmp(&bd) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Equal => (i, j) < (bi, bj),
-                            std::cmp::Ordering::Greater => false,
-                        },
-                    };
-                    if better {
-                        best = Some((i, j, d));
-                    }
-                }
-            }
-            let Some((i, j, d)) = best else { break };
-            if target.is_none() && d > stop_distance {
-                break;
-            }
-            // Merge j into i.
-            let b = nodes[j].take().unwrap();
-            let a = nodes[i].as_mut().unwrap();
-            let na = a.members.len() as f64;
-            let nb = b.members.len() as f64;
-            for (ca, cb) in a.centroid.iter_mut().zip(&b.centroid) {
-                *ca = (*ca * na + cb * nb) / (na + nb);
-            }
-            a.members.extend(b.members);
-            active -= 1;
+        let mut agglomeration = Agglomeration::new(profiles, vec![1; p]);
+        agglomeration.merge_while(|live, d| match target {
+            Some(k) => live > k,
+            None => d <= stop_distance,
+        });
+        agglomeration.merge_while(|live, _| live > cap);
+        let merged = agglomeration.finish();
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); p];
+        for (rank, &root) in merged.root.iter().enumerate() {
+            members[root].push(rank);
         }
-
-        let mut clusters: Vec<Cluster> = nodes
+        // Every surviving slot holds at least itself.
+        let groups = members
             .into_iter()
-            .flatten()
-            .map(|node| {
-                let mut members = node.members;
-                members.sort_unstable();
-                // Medoid: member closest to the centroid.
-                let representative = *members
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        euclidean(&profiles[a], &node.centroid)
-                            .total_cmp(&euclidean(&profiles[b], &node.centroid))
-                    })
-                    .unwrap();
-                Cluster {
-                    members: members.iter().map(|&m| ProcessId::from_index(m)).collect(),
-                    representative: ProcessId::from_index(representative),
-                    centroid: node.centroid,
-                }
-            })
-            .collect();
-        clusters.sort_by_key(|c| (std::cmp::Reverse(c.members.len()), c.members[0].0));
-        ProcessClustering { clusters }
+            .zip(merged.centroids)
+            .filter(|(m, _)| !m.is_empty());
+        clusters_of(matrix, groups)
     }
 
     /// Number of clusters.
@@ -226,6 +135,254 @@ pub(crate) fn euclidean(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
+/// Per-process SOS profiles, ragged rows padded with zeros to a
+/// rectangular matrix.
+fn padded_profiles(matrix: &SosMatrix) -> Vec<Vec<f64>> {
+    let p = matrix.num_processes();
+    let width = (0..p)
+        .map(|i| matrix.process_sos(ProcessId::from_index(i)).len())
+        .max()
+        .unwrap_or(0);
+    (0..p)
+        .map(|i| {
+            let mut v = Vec::with_capacity(width);
+            padded_row(matrix, i, width, &mut v);
+            v
+        })
+        .collect()
+}
+
+/// Process `i`'s SOS profile padded with zeros to `width`, into `out`.
+fn padded_row(matrix: &SosMatrix, i: usize, width: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(
+        matrix
+            .process_sos(ProcessId::from_index(i))
+            .iter()
+            .map(|d| d.0 as f64),
+    );
+    out.resize(width, 0.0);
+}
+
+/// The merge stop distance: `threshold` scaled by the RMS of all values.
+fn stop_distance(profiles: &[Vec<f64>], threshold: f64) -> f64 {
+    let (sum, n) = profiles
+        .iter()
+        .flatten()
+        .fold((0.0f64, 0usize), |(s, n), v| (s + v * v, n + 1));
+    let rms = if n == 0 { 0.0 } else { (sum / n as f64).sqrt() };
+    // An all-idle run (every SOS value zero) has rms == 0; the stop
+    // distance is then exactly 0 so identical (all-zero) profiles still
+    // merge — merging stops only on `d > stop_distance`.
+    if rms == 0.0 {
+        0.0
+    } else {
+        threshold * rms
+    }
+}
+
+/// Builds the clusters from `(members, centroid)` groups: members
+/// ascending, the medoid as representative, largest cluster first.
+fn clusters_of(
+    matrix: &SosMatrix,
+    groups: impl Iterator<Item = (Vec<usize>, Vec<f64>)>,
+) -> ProcessClustering {
+    let mut profile = Vec::new();
+    let mut clusters: Vec<Cluster> = groups
+        .map(|(mut members, centroid)| {
+            members.sort_unstable();
+            // Medoid: member closest to the centroid, lowest rank on ties.
+            let mut representative: Option<(usize, f64)> = None;
+            for &m in &members {
+                padded_row(matrix, m, centroid.len(), &mut profile);
+                let d = euclidean(&profile, &centroid);
+                if representative.is_none_or(|(_, bd)| d.total_cmp(&bd).is_lt()) {
+                    representative = Some((m, d));
+                }
+            }
+            Cluster {
+                members: members.iter().map(|&m| ProcessId::from_index(m)).collect(),
+                representative: ProcessId::from_index(representative.unwrap().0),
+                centroid,
+            }
+        })
+        .collect();
+    clusters.sort_by_key(|c| (std::cmp::Reverse(c.members.len()), c.members[0].0));
+    ProcessClustering { clusters }
+}
+
+/// Agglomerative clustering with average linkage via centroid
+/// bookkeeping, over cached pair distances.
+///
+/// Each step merges the closest live pair, ordered by `(d, i, j)` with
+/// `total_cmp` on `d`: ties go to the lowest slot pair. Because a merge
+/// always folds the higher slot into the lower one, a node's slot is its
+/// lowest member, so this is the deterministic lowest-member-rank rule.
+///
+/// The distances live in a condensed upper triangle filled once
+/// (p(p−1)/2 evaluations), and every row `i` remembers its nearest live
+/// `j > i`. A merge recomputes only the merged node's distances and
+/// rescans — from the cache — the rows whose nearest neighbour it
+/// touched, so a run costs O(p²·d) in distances plus the rescans instead
+/// of O(p³·d). Results are bit-identical to re-evaluating every pair on
+/// every merge: the same `euclidean` on the same centroids, argument
+/// order included.
+pub(crate) struct Agglomeration {
+    centroids: Vec<Vec<f64>>,
+    sizes: Vec<usize>,
+    /// The slot each slot was folded into; itself while live.
+    parent: Vec<usize>,
+    live: usize,
+    /// `d(i, j)` for `i < j` at [`Agglomeration::pair`].
+    dist: Vec<f64>,
+    /// Per live row `i`: the nearest live `j > i` and its distance,
+    /// lowest `j` on ties; `None` when no live slot follows `i`.
+    nearest: Vec<Option<(usize, f64)>>,
+}
+
+/// The outcome of an [`Agglomeration`].
+pub(crate) struct Merged {
+    /// Per initial slot, the surviving slot it was merged into.
+    pub root: Vec<usize>,
+    /// Per slot, its centroid; empty for a slot that was merged away.
+    pub centroids: Vec<Vec<f64>>,
+}
+
+impl Agglomeration {
+    /// Starts from one node per centroid, `sizes[i]` members each.
+    pub(crate) fn new(centroids: Vec<Vec<f64>>, sizes: Vec<usize>) -> Agglomeration {
+        let n = centroids.len();
+        debug_assert_eq!(sizes.len(), n);
+        let mut dist = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for i in 0..n {
+            for j in i + 1..n {
+                dist.push(euclidean(&centroids[i], &centroids[j]));
+            }
+        }
+        let mut agglomeration = Agglomeration {
+            centroids,
+            sizes,
+            parent: (0..n).collect(),
+            live: n,
+            dist,
+            nearest: vec![None; n],
+        };
+        for i in 0..n {
+            agglomeration.nearest[i] = agglomeration.scan_row(i);
+        }
+        agglomeration
+    }
+
+    /// Merges closest pairs for as long as `keep_merging(live, d)` holds
+    /// for the closest pair at distance `d` among `live` nodes, and at
+    /// least two nodes remain. May be called again to resume.
+    pub(crate) fn merge_while(&mut self, mut keep_merging: impl FnMut(usize, f64) -> bool) {
+        while self.live > 1 {
+            let Some((i, j, d)) = self.closest() else {
+                break;
+            };
+            if !keep_merging(self.live, d) {
+                break;
+            }
+            self.merge(i, j);
+        }
+    }
+
+    /// Resolves every slot to its surviving slot.
+    pub(crate) fn finish(self) -> Merged {
+        let mut root: Vec<usize> = Vec::with_capacity(self.parent.len());
+        for (slot, &parent) in self.parent.iter().enumerate() {
+            // A slot is only ever folded into a lower one.
+            root.push(if parent == slot { slot } else { root[parent] });
+        }
+        Merged {
+            root,
+            centroids: self.centroids,
+        }
+    }
+
+    fn is_live(&self, slot: usize) -> bool {
+        self.parent[slot] == slot
+    }
+
+    /// Index of `d(i, j)`, `i < j`, in the condensed triangle.
+    fn pair(&self, i: usize, j: usize) -> usize {
+        debug_assert!(i < j);
+        let n = self.parent.len();
+        i * (2 * n - i - 1) / 2 + (j - i - 1)
+    }
+
+    /// The nearest live `j > i` from the cached distances.
+    fn scan_row(&self, i: usize) -> Option<(usize, f64)> {
+        let n = self.parent.len();
+        if i + 1 >= n {
+            return None;
+        }
+        let row = &self.dist[self.pair(i, i + 1)..][..n - i - 1];
+        let mut best: Option<(usize, f64)> = None;
+        for (j, &d) in (i + 1..n).zip(row) {
+            if self.is_live(j) && best.is_none_or(|(_, bd)| d.total_cmp(&bd).is_lt()) {
+                best = Some((j, d));
+            }
+        }
+        best
+    }
+
+    /// The closest live pair: the first strict minimum over the rows in
+    /// ascending order, i.e. the least `(d, i, j)`.
+    fn closest(&self) -> Option<(usize, usize, f64)> {
+        let mut best: Option<(usize, usize, f64)> = None;
+        for (i, nearest) in self.nearest.iter().enumerate() {
+            if let Some((j, d)) = *nearest {
+                if best.is_none_or(|(_, _, bd)| d.total_cmp(&bd).is_lt()) {
+                    best = Some((i, j, d));
+                }
+            }
+        }
+        best
+    }
+
+    /// Folds `j` into `i` (`i < j`) and repairs the cache.
+    fn merge(&mut self, i: usize, j: usize) {
+        let b = std::mem::take(&mut self.centroids[j]);
+        let na = self.sizes[i] as f64;
+        let nb = self.sizes[j] as f64;
+        for (ca, cb) in self.centroids[i].iter_mut().zip(&b) {
+            *ca = (*ca * na + cb * nb) / (na + nb);
+        }
+        self.sizes[i] += self.sizes[j];
+        self.parent[j] = i;
+        self.nearest[j] = None;
+        self.live -= 1;
+
+        let n = self.parent.len();
+        for k in 0..n {
+            if k == i || !self.is_live(k) {
+                continue;
+            }
+            let (lo, hi) = (k.min(i), k.max(i));
+            let d = euclidean(&self.centroids[lo], &self.centroids[hi]);
+            let at = self.pair(lo, hi);
+            self.dist[at] = d;
+            if k < i {
+                // Row k's other candidates are unchanged; only i moved
+                // and j left.
+                self.nearest[k] = match self.nearest[k] {
+                    Some((m, _)) if m == i || m == j => self.scan_row(k),
+                    Some((m, dm)) if d.total_cmp(&dm).then(i.cmp(&m)).is_lt() => Some((i, d)),
+                    other => other,
+                };
+            }
+        }
+        self.nearest[i] = self.scan_row(i);
+        for k in i + 1..j {
+            if matches!(self.nearest[k], Some((m, _)) if m == j) {
+                self.nearest[k] = self.scan_row(k);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,6 +406,98 @@ mod tests {
         }
         let trace: Trace = b.finish().unwrap();
         SosMatrix::from_segmentation(&Segmentation::new(&trace, &replay_all(&trace), f))
+    }
+
+    /// The reference agglomeration: every live pair re-evaluated on every
+    /// merge, O(p³·d). The cached loop must equal it bit for bit.
+    fn reference_compute(matrix: &SosMatrix, config: ClusterConfig) -> ProcessClustering {
+        let profiles = padded_profiles(matrix);
+        if profiles.is_empty() {
+            return ProcessClustering {
+                clusters: Vec::new(),
+            };
+        }
+        let stop_distance = stop_distance(&profiles, config.distance_threshold);
+        struct Node {
+            members: Vec<usize>,
+            centroid: Vec<f64>,
+        }
+        let mut nodes: Vec<Option<Node>> = profiles
+            .iter()
+            .enumerate()
+            .map(|(i, prof)| {
+                Some(Node {
+                    members: vec![i],
+                    centroid: prof.clone(),
+                })
+            })
+            .collect();
+        let mut active = nodes.len();
+        let target = config.num_clusters.map(|k| k.max(1));
+        loop {
+            if active <= 1 {
+                break;
+            }
+            if let Some(k) = target {
+                if active <= k {
+                    break;
+                }
+            }
+            let mut best: Option<(usize, usize, f64)> = None;
+            for i in 0..nodes.len() {
+                let Some(a) = &nodes[i] else { continue };
+                for (j, node) in nodes.iter().enumerate().skip(i + 1) {
+                    let Some(b) = node else { continue };
+                    let d = euclidean(&a.centroid, &b.centroid);
+                    let better = match best {
+                        None => true,
+                        Some((bi, bj, bd)) => match d.total_cmp(&bd) {
+                            std::cmp::Ordering::Less => true,
+                            std::cmp::Ordering::Equal => (i, j) < (bi, bj),
+                            std::cmp::Ordering::Greater => false,
+                        },
+                    };
+                    if better {
+                        best = Some((i, j, d));
+                    }
+                }
+            }
+            let Some((i, j, d)) = best else { break };
+            if target.is_none() && d > stop_distance {
+                break;
+            }
+            let b = nodes[j].take().unwrap();
+            let a = nodes[i].as_mut().unwrap();
+            let na = a.members.len() as f64;
+            let nb = b.members.len() as f64;
+            for (ca, cb) in a.centroid.iter_mut().zip(&b.centroid) {
+                *ca = (*ca * na + cb * nb) / (na + nb);
+            }
+            a.members.extend(b.members);
+            active -= 1;
+        }
+        let mut clusters: Vec<Cluster> = nodes
+            .into_iter()
+            .flatten()
+            .map(|node| {
+                let mut members = node.members;
+                members.sort_unstable();
+                let representative = *members
+                    .iter()
+                    .min_by(|&&a, &&b| {
+                        euclidean(&profiles[a], &node.centroid)
+                            .total_cmp(&euclidean(&profiles[b], &node.centroid))
+                    })
+                    .unwrap();
+                Cluster {
+                    members: members.iter().map(|&m| ProcessId::from_index(m)).collect(),
+                    representative: ProcessId::from_index(representative),
+                    centroid: node.centroid,
+                }
+            })
+            .collect();
+        clusters.sort_by_key(|c| (std::cmp::Reverse(c.members.len()), c.members[0].0));
+        ProcessClustering { clusters }
     }
 
     #[test]
@@ -397,6 +646,23 @@ mod tests {
     }
 
     #[test]
+    fn merged_node_ties_an_earlier_nearest_neighbour() {
+        // (1,2) merge first (distance 4) into centroid (2,5), which is
+        // exactly 5 from rank 0 — tying rank 0's nearest, rank 3. The
+        // lower pair (0,1) must win, as if every pair were re-evaluated.
+        let groups = vec![vec![2u64, 0], vec![4, 5], vec![0, 5], vec![7, 0]];
+        let m = trace_with_loads(&groups);
+        let config = ClusterConfig {
+            num_clusters: Some(2),
+            ..ClusterConfig::default()
+        };
+        let c = ProcessClustering::compute(&m, config);
+        assert_eq!(c, reference_compute(&m, config));
+        let big: Vec<u32> = c.clusters[0].members.iter().map(|p| p.0).collect();
+        assert_eq!(big, vec![0, 1, 2]);
+    }
+
+    #[test]
     fn cosmo_like_hotspot_isolated() {
         // 14 balanced ranks + 2 hot ranks with growing load.
         let mut groups = vec![vec![100u64; 8]; 14];
@@ -461,6 +727,44 @@ mod tests {
                         .collect::<BTreeSet<usize>>()
                 })
                 .collect()
+        }
+
+        /// Loads a tie-heavy profile is drawn from: few distinct values,
+        /// so equidistant pairs are common.
+        const TIE_LOADS: [u64; 5] = [0, 1, 2, 4, 100];
+        const THRESHOLDS: [f64; 4] = [0.0, 0.1, 0.25, 1.0];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn cached_agglomeration_equals_the_reference(
+                picks in vec(vec(0usize..TIE_LOADS.len(), 1..4), 1..41),
+                k in 0usize..11,
+                threshold in 0usize..THRESHOLDS.len(),
+                cap in 1usize..10,
+            ) {
+                // k == 10 doubles as the None arm.
+                let groups: Vec<Vec<u64>> = picks
+                    .iter()
+                    .map(|row| row.iter().map(|&i| TIE_LOADS[i]).collect())
+                    .collect();
+                let m = trace_with_loads(&groups);
+                let config = ClusterConfig {
+                    distance_threshold: THRESHOLDS[threshold],
+                    num_clusters: (k < 10).then_some(k),
+                };
+                let reference = reference_compute(&m, config);
+                prop_assert_eq!(ProcessClustering::compute(&m, config), reference.clone());
+                // Resuming past the threshold stop equals re-clustering
+                // to the cap from scratch.
+                let capped = if reference.len() > cap {
+                    reference_compute(&m, ClusterConfig { num_clusters: Some(cap), ..config })
+                } else {
+                    reference
+                };
+                prop_assert_eq!(ProcessClustering::compute_capped(&m, config, cap), capped);
+            }
         }
 
         proptest! {

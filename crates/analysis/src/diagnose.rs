@@ -30,7 +30,7 @@
 //! percentages only, so the daemon (which holds no [`perfvar_trace::Clock`])
 //! renders byte-identical JSON to the CLI.
 
-use crate::clustering::{euclidean, ClusterConfig, ProcessClustering};
+use crate::clustering::{euclidean, Agglomeration, ClusterConfig, Merged, ProcessClustering};
 use crate::findings::{Finding, FindingKind};
 use crate::report::Analysis;
 use crate::sos::{SosMatrix, TickStats};
@@ -656,31 +656,25 @@ fn detect_wave(analysis: &Analysis) -> Option<WaveDiagnosis> {
 /// Clusters the matrix, switching to the streaming summariser above
 /// `config.exact_threshold` processes and capping the result at
 /// `config.max_clusters` either way.
-fn cluster_summarised(matrix: &SosMatrix, config: &DiagnoseConfig) -> ProcessClustering {
-    let n = matrix.num_processes();
+///
+/// Exact clustering keeps a condensed pair-distance triangle, so the
+/// threshold also bounds its memory: ≤ 1 MiB at the default 512 ranks.
+pub fn cluster_summarised(matrix: &SosMatrix, config: &DiagnoseConfig) -> ProcessClustering {
     let max_clusters = config.max_clusters.max(1);
     let target = config
         .cluster
         .num_clusters
         .map(|k| k.clamp(1, max_clusters));
-    if n <= config.exact_threshold {
-        let c = ProcessClustering::compute(
+    if matrix.num_processes() <= config.exact_threshold {
+        // Should the threshold overshoot the row budget, merging resumes
+        // from where it stopped down to the cap.
+        return ProcessClustering::compute_capped(
             matrix,
             ClusterConfig {
                 distance_threshold: config.cluster.distance_threshold,
                 num_clusters: target,
             },
-        );
-        if c.len() <= max_clusters {
-            return c;
-        }
-        // Threshold clustering overshot the row budget: force the cap.
-        return ProcessClustering::compute(
-            matrix,
-            ClusterConfig {
-                distance_threshold: config.cluster.distance_threshold,
-                num_clusters: Some(max_clusters),
-            },
+            max_clusters,
         );
     }
     cluster_streaming(
@@ -722,11 +716,9 @@ fn cluster_streaming(
     };
     let budget = (max_clusters * 4).clamp(32, 256);
 
-    struct Sketch {
-        centroid: Vec<f64>,
-        count: usize,
-    }
-    let mut sketches: Vec<Sketch> = Vec::new();
+    // Sketch i: its running mean profile and how many ranks it holds.
+    let mut centroids: Vec<Vec<f64>> = Vec::new();
+    let mut counts: Vec<usize> = Vec::new();
     let mut assignment: Vec<u32> = Vec::with_capacity(n);
     let mut profile = vec![0.0f64; width];
     for p in 0..n {
@@ -734,128 +726,71 @@ fn cluster_streaming(
         for (i, slot) in profile.iter_mut().enumerate() {
             *slot = row.get(i).map(|d| d.0 as f64).unwrap_or(0.0);
         }
-        let nearest = sketches
+        let nearest = centroids
             .iter()
             .enumerate()
-            .map(|(i, s)| (i, euclidean(&profile, &s.centroid)))
+            .map(|(i, c)| (i, euclidean(&profile, c)))
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         match nearest {
-            Some((i, d)) if d <= stop_distance || sketches.len() >= budget => {
-                let s = &mut sketches[i];
-                let k = s.count as f64;
-                for (c, v) in s.centroid.iter_mut().zip(&profile) {
+            Some((i, d)) if d <= stop_distance || centroids.len() >= budget => {
+                let k = counts[i] as f64;
+                for (c, v) in centroids[i].iter_mut().zip(&profile) {
                     *c = (*c * k + v) / (k + 1.0);
                 }
-                s.count += 1;
+                counts[i] += 1;
                 assignment.push(i as u32);
             }
             _ => {
-                assignment.push(sketches.len() as u32);
-                sketches.push(Sketch {
-                    centroid: profile.clone(),
-                    count: 1,
-                });
+                assignment.push(centroids.len() as u32);
+                centroids.push(profile.clone());
+                counts.push(1);
             }
         }
     }
-    if sketches.is_empty() {
+    if centroids.is_empty() {
         return ProcessClustering {
             clusters: Vec::new(),
         };
     }
 
-    // Agglomerative merge of the sketch centroids (k ≤ budget, so the
-    // quadratic closest-pair search is cheap). Same semantics as the
-    // exact algorithm: to the fixed target if given, else within the
-    // stop distance — but never more than `max_clusters` groups.
+    // Agglomerative merge of the sketch centroids (k ≤ budget). Same
+    // semantics as the exact algorithm: to the fixed target if given,
+    // else within the stop distance — but never more than `max_clusters`
+    // groups.
     let goal = target.unwrap_or(max_clusters).max(1);
-    let mut redirect: Vec<usize> = (0..sketches.len()).collect();
-    let mut alive: Vec<bool> = vec![true; sketches.len()];
-    let mut live = sketches.len();
-    while live > 1 {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for i in 0..sketches.len() {
-            if !alive[i] {
-                continue;
-            }
-            for j in (i + 1)..sketches.len() {
-                if !alive[j] {
-                    continue;
-                }
-                let d = euclidean(&sketches[i].centroid, &sketches[j].centroid);
-                let better = match best {
-                    None => true,
-                    Some((bi, bj, bd)) => match d.total_cmp(&bd) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Equal => (i, j) < (bi, bj),
-                        std::cmp::Ordering::Greater => false,
-                    },
-                };
-                if better {
-                    best = Some((i, j, d));
-                }
-            }
-        }
-        let Some((i, j, d)) = best else { break };
-        let over_goal = live > goal;
-        let within_threshold = target.is_none() && d <= stop_distance && live > 1;
-        if !(over_goal || within_threshold) {
-            break;
-        }
-        let (ci, cj) = (sketches[i].count as f64, sketches[j].count as f64);
-        let merged: Vec<f64> = sketches[i]
-            .centroid
-            .iter()
-            .zip(&sketches[j].centroid)
-            .map(|(a, b)| (a * ci + b * cj) / (ci + cj))
-            .collect();
-        sketches[i].centroid = merged;
-        sketches[i].count += sketches[j].count;
-        alive[j] = false;
-        redirect[j] = i;
-        live -= 1;
-    }
-    // Resolve merge chains.
-    let resolve = |mut i: usize, redirect: &[usize]| {
-        while redirect[i] != i {
-            i = redirect[i];
-        }
-        i
-    };
+    let mut agglomeration = Agglomeration::new(centroids, counts);
+    agglomeration.merge_while(|live, d| live > goal || (target.is_none() && d <= stop_distance));
+    let Merged { root, centroids } = agglomeration.finish();
 
     // Gather members per surviving sketch (ascending ranks by
     // construction) and pick each representative in a second row-by-row
     // pass: the member closest to its centroid, lowest rank on ties.
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); sketches.len()];
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); centroids.len()];
     for (rank, &a) in assignment.iter().enumerate() {
-        members[resolve(a as usize, &redirect)].push(rank);
+        members[root[a as usize]].push(rank);
     }
-    let mut rep: Vec<Option<(usize, f64)>> = vec![None; sketches.len()];
-    for (p, &a) in assignment.iter().enumerate().take(n) {
+    let mut rep: Vec<Option<(usize, f64)>> = vec![None; centroids.len()];
+    for (p, &a) in assignment.iter().enumerate() {
         let row = matrix.process_sos(ProcessId::from_index(p));
         for (i, slot) in profile.iter_mut().enumerate() {
             *slot = row.get(i).map(|d| d.0 as f64).unwrap_or(0.0);
         }
-        let s = resolve(a as usize, &redirect);
-        let d = euclidean(&profile, &sketches[s].centroid);
-        let better = match rep[s] {
-            None => true,
-            Some((_, bd)) => d < bd,
-        };
-        if better {
+        let s = root[a as usize];
+        let d = euclidean(&profile, &centroids[s]);
+        if rep[s].is_none_or(|(_, bd)| d < bd) {
             rep[s] = Some((p, d));
         }
     }
 
-    let mut clusters: Vec<crate::clustering::Cluster> = (0..sketches.len())
-        .filter(|&i| alive[i] && !members[i].is_empty())
-        .map(|i| crate::clustering::Cluster {
-            members: members[i]
-                .iter()
-                .map(|&m| ProcessId::from_index(m))
-                .collect(),
-            representative: ProcessId::from_index(rep[i].map(|(p, _)| p).unwrap_or(members[i][0])),
-            centroid: sketches[i].centroid.clone(),
+    let mut clusters: Vec<crate::clustering::Cluster> = centroids
+        .into_iter()
+        .zip(members)
+        .zip(rep)
+        .filter(|((_, members), _)| !members.is_empty())
+        .map(|((centroid, members), rep)| crate::clustering::Cluster {
+            representative: ProcessId::from_index(rep.map_or(members[0], |(p, _)| p)),
+            members: members.iter().map(|&m| ProcessId::from_index(m)).collect(),
+            centroid,
         })
         .collect();
     clusters.sort_by_key(|c| (std::cmp::Reverse(c.members.len()), c.members[0].0));
@@ -1017,6 +952,69 @@ mod tests {
             assert!(d.clusters.len() <= 5, "{} rows", d.clusters.len());
             let total: usize = d.clusters.iter().map(|c| c.members.len()).sum();
             assert_eq!(total, 64);
+        }
+    }
+
+    #[test]
+    fn cap_overshoot_resumes_to_the_from_scratch_clustering() {
+        // The threshold leaves more clusters than the cap: merging resumes
+        // from the threshold stop and must land exactly where clustering
+        // to the cap from scratch lands.
+        let w = perfvar_sim::workloads::RandomImbalance::new(64, 6);
+        let trace = simulate(&w.spec()).unwrap();
+        let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
+        let config = DiagnoseConfig {
+            max_clusters: 5,
+            ..DiagnoseConfig::default()
+        };
+        let uncapped = ProcessClustering::compute(&analysis.sos, config.cluster);
+        assert!(
+            uncapped.len() > 5,
+            "{} clusters: no overshoot",
+            uncapped.len()
+        );
+        let from_scratch = ProcessClustering::compute(
+            &analysis.sos,
+            ClusterConfig {
+                num_clusters: Some(5),
+                ..config.cluster
+            },
+        );
+        assert_eq!(cluster_summarised(&analysis.sos, &config), from_scratch);
+    }
+
+    #[test]
+    fn uncapped_switch_is_plain_exact_clustering_below_the_threshold() {
+        // `perfvar cluster` caps at the rank count: below the threshold
+        // that is exactly ProcessClustering::compute; above it the
+        // sketch still places every rank.
+        let w = perfvar_sim::workloads::RandomImbalance::new(64, 6);
+        let trace = simulate(&w.spec()).unwrap();
+        let analysis = analyze(&trace, &AnalysisConfig::default()).unwrap();
+        let n = analysis.sos.num_processes();
+        for num_clusters in [None, Some(0), Some(3), Some(100)] {
+            let cluster = ClusterConfig {
+                num_clusters,
+                ..ClusterConfig::default()
+            };
+            let uncapped = DiagnoseConfig {
+                cluster,
+                max_clusters: n,
+                ..DiagnoseConfig::default()
+            };
+            assert_eq!(
+                cluster_summarised(&analysis.sos, &uncapped),
+                ProcessClustering::compute(&analysis.sos, cluster)
+            );
+            let sketch = cluster_summarised(
+                &analysis.sos,
+                &DiagnoseConfig {
+                    exact_threshold: 0,
+                    ..uncapped
+                },
+            );
+            let total: usize = sketch.clusters.iter().map(|c| c.members.len()).sum();
+            assert_eq!(total, n);
         }
     }
 

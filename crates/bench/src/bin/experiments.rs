@@ -1291,9 +1291,11 @@ fn ablation_sos_vs_durations(report: &mut Report) {
 // ───────────────────── diagnosis benchmark ─────────────────────
 
 /// Automatic diagnosis at scale: a 10 000-rank COSMO-SPECS cloud and a
-/// 10 000-rank desynchronisation wave, both diagnosed from their
-/// finished analyses. Gates: the diagnosis layer itself stays under the
-/// wall gate (it must never materialise a rank × rank distance matrix),
+/// 10 000-rank desynchronisation wave on the sketch path, plus a
+/// 511-rank wave just below the exact-clustering threshold, all
+/// diagnosed from their finished analyses. Gates: the diagnosis layer
+/// itself stays under the wall gate (the sketch never materialises a
+/// rank × rank distance matrix; the exact path keeps a bounded one),
 /// each seeded cause is named by the *top* finding, the heatmap summary
 /// respects the cluster cap, and the JSON bytes are identical across
 /// thread counts. The DIAGNOSE row in BENCH_pipeline.json.
@@ -1398,6 +1400,44 @@ fn diagnose_benchmark(report: &mut Report, _out_dir: &Path) -> serde_json::Value
         wave_top && wave_found && wave_diagnosis.clusters.len() <= config.max_clusters,
     );
 
+    // Case 3 — just below the exact threshold: 511 ranks are clustered
+    // exactly (cached pair distances), under the same wall gate as the
+    // 10k-rank sketch rows, and the wave must still be recovered.
+    let exact_workload = DesyncWave::new(511, 500, 128);
+    let exact_trace = perfvar_sim::simulate(&exact_workload.spec()).unwrap();
+    let exact_meta = TraceMeta::of(&exact_trace);
+    let exact_analysis = analyze(&exact_trace, &AnalysisConfig::default()).unwrap();
+    let on_exact_path = exact_analysis.sos.num_processes() <= config.exact_threshold;
+    let exact_t = time_reps(&mut || {
+        diagnose_meta(&exact_meta, &exact_analysis, &config);
+    });
+    let exact_diagnosis = diagnose_meta(&exact_meta, &exact_analysis, &config);
+    let exact_top = match exact_diagnosis.findings.first().map(|f| &f.kind) {
+        Some(FindingKind::PropagatingWait { origin, .. }) => origin.index() == 128,
+        _ => false,
+    };
+    let exact_found = exact_diagnosis.wave.as_ref().is_some_and(|w| {
+        w.origin.index() == 128 && w.start_ordinal == exact_workload.delay_iteration
+    });
+    report.check(
+        "DIAGNOSE 511-rank exact path",
+        &format!(
+            "511 ranks × 500 segments on the exact path: top finding PropagatingWait \
+             with the seeded origin (rank 128) and delay segment, diagnosis under {wall_gate} s"
+        ),
+        format!(
+            "exact path: {on_exact_path}; top PropagatingWait at origin: {exact_top}; \
+             wave recovered: {exact_found}; best {:.3} s ({} cluster row(s))",
+            exact_t.best,
+            exact_diagnosis.clusters.len()
+        ),
+        on_exact_path
+            && exact_top
+            && exact_found
+            && exact_diagnosis.clusters.len() <= config.max_clusters
+            && exact_t.best < wall_gate,
+    );
+
     let slowest = imbalance_t.best.max(wave_t.best);
     report.check(
         "DIAGNOSE wall time",
@@ -1413,6 +1453,7 @@ fn diagnose_benchmark(report: &mut Report, _out_dir: &Path) -> serde_json::Value
         "ranks": 10_000,
         "imbalance": imbalance_t.to_json(),
         "wave": wave_t.to_json(),
+        "exact_511": exact_t.to_json(),
         "clusters_imbalance": diagnosis.clusters.len(),
         "clusters_wave": wave_diagnosis.clusters.len(),
         "max_clusters": config.max_clusters,

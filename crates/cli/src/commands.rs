@@ -5,7 +5,7 @@ use crate::workload_args::{generate_trace, WORKLOAD_NAMES};
 use perfvar_analysis::live::LiveAnalysis;
 use perfvar_analysis::{
     analyze_observed, analyze_path_observed, analyze_reference, diagnose_meta, Analysis,
-    AnalysisConfig, AnalysisOptions, DiagnoseOptions, OutOfCoreAnalysis, Telemetry,
+    AnalysisConfig, AnalysisOptions, DiagnoseConfig, DiagnoseOptions, OutOfCoreAnalysis, Telemetry,
 };
 use perfvar_trace::format::cursor::ArchiveCursor;
 use perfvar_trace::format::live::LiveArchiveWriter;
@@ -57,8 +57,9 @@ Workloads: cosmo-specs, cosmo-specs-fd4, wrf (the paper's case studies),
 
 diagnose runs the automatic-diagnosis layer: ranks are grouped into at
 most --max-clusters behaviour clusters on their per-segment SOS-time
-vectors (streamed — no rank × rank distance matrix is materialised),
-each cluster gets a cause label (baseline / persistent overload /
+vectors (exact up to 512 ranks; above, a streaming sketch that never
+materialises a rank × rank distance matrix — cluster switches the same
+way), each cluster gets a cause label (baseline / persistent overload /
 one-off spikes / swept by an idle wave), and a propagating-wait front
 is detected when per-rank peak waits form a neighbour-to-neighbour
 wave. Text mode prints a one-row-per-cluster heatmap followed by the
@@ -1119,7 +1120,17 @@ pub fn cluster(argv: Vec<String>) -> Result<(), String> {
             .parse_or("threshold", 0.25f64)
             .map_err(|e| e.to_string())?,
     };
-    let clustering = perfvar_analysis::ProcessClustering::compute(&analysis.sos, config);
+    // The exact/sketch switch of diagnose, with no cap on the cluster
+    // count: exact clustering keeps a rank × rank distance triangle, so
+    // large runs take the streaming sketch.
+    let clustering = perfvar_analysis::diagnose::cluster_summarised(
+        &analysis.sos,
+        &DiagnoseConfig {
+            cluster: config,
+            max_clusters: analysis.sos.num_processes(),
+            ..DiagnoseConfig::default()
+        },
+    );
     if args.has("json") {
         println!(
             "{}",

@@ -147,16 +147,17 @@ impl ResultCache {
         Some(entry)
     }
 
-    /// Stores an entry in memory and, if configured, on disk. Disk-write
-    /// failures are swallowed: the spill is an optimisation, not a
-    /// durability promise.
+    /// Stores an entry in memory and, if configured, on disk. A spill
+    /// file is replaced crash-safely, so a reader never sees a torn
+    /// entry. Disk-write failures are swallowed: the spill is an
+    /// optimisation, not a durability promise.
     pub fn put(&self, key: u128, entry: Arc<CachedResult>) {
         if let Some(file) = self.spill_file(key) {
             if let Some(dir) = &self.disk_dir {
                 let _ = std::fs::create_dir_all(dir);
             }
             if let Ok(json) = serde_json::to_string(&*entry) {
-                let _ = std::fs::write(file, json);
+                let _ = crate::store::replace_file(&file, json.as_bytes());
             }
         }
         self.insert_memory(key, entry);

@@ -6,8 +6,10 @@
 //! archive path it was registered from plus an optional human label
 //! ("v1.3", "nightly-2026-08-07"). It is deliberately tiny: a mutex
 //! around a record list, persisted as one pretty-printed JSON file
-//! (`runs.json`) rewritten on every registration, so registrations
-//! survive daemon restarts alongside the disk cache spill.
+//! (`runs.json`) replaced on every registration, so registrations
+//! survive daemon restarts alongside the disk cache spill. Replacement
+//! writes a temporary file, fsyncs it and renames it over `runs.json`,
+//! so a crash mid-write leaves the previous registrations intact.
 //!
 //! Lookups resolve a *reference*: an exact label first, then an exact
 //! 32-hex-digit digest. Anything else is not the store's business —
@@ -15,7 +17,10 @@
 //! path, so `/compare?base=v1&cand=/tmp/new.pvta` mixes both worlds.
 
 use serde::{Deserialize, Serialize};
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -49,6 +54,49 @@ pub fn looks_like_digest(reference: &str) -> bool {
     reference.len() == 32 && reference.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
+/// Replaces `target` with `bytes` so that a crash at any point leaves
+/// either the old file or the new one, never a torn mix: the bytes go
+/// to a temporary file in the same directory, which is fsynced and then
+/// renamed over `target`.
+pub(crate) fn replace_file(target: &Path, bytes: &[u8]) -> io::Result<()> {
+    replace_file_with(target, |file| file.write_all(bytes))
+}
+
+/// [`replace_file`] with the write step supplied by the caller.
+fn replace_file_with(
+    target: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
+    // Distinct per writer, so concurrent replacements never share one.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = target
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no file name"))?;
+    let tmp = target.with_file_name(format!(
+        ".{}.{}-{}.tmp",
+        name.to_string_lossy(),
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let replaced = File::create(&tmp)
+        .and_then(|mut file| {
+            write(&mut file)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, target));
+    if replaced.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return replaced;
+    }
+    // Make the rename itself durable where a directory can be synced.
+    if let Some(dir) = target.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Ok(dir) = File::open(dir) {
+            let _ = dir.sync_all();
+        }
+    }
+    Ok(())
+}
+
 /// The run store: an in-memory record list with an optional JSON file
 /// behind it. Without a directory it still works for the daemon's
 /// lifetime; with one, every mutation is persisted before returning.
@@ -78,7 +126,8 @@ impl RunStore {
     /// Registers (or re-registers) a run: upserts by digest, keeping
     /// registration order. A non-empty label is claimed exclusively —
     /// any other record holding it is relabelled to empty. Returns the
-    /// stored record. Fails only when persisting to disk fails.
+    /// stored record. Fails only when persisting to disk fails, and then
+    /// leaves the store as it was.
     pub fn register(
         &self,
         digest: u128,
@@ -87,7 +136,10 @@ impl RunStore {
     ) -> Result<RunRecord, String> {
         let digest = digest_hex(digest);
         let label = label.unwrap_or("").to_string();
-        let mut records = self.records.lock().unwrap();
+        let mut guard = self.records.lock().unwrap();
+        // Edit a copy and commit it only once it is on disk, so a failed
+        // registration is not listed either.
+        let mut records = guard.clone();
         if !label.is_empty() {
             for r in records.iter_mut() {
                 if r.label == label && r.digest != digest {
@@ -118,10 +170,20 @@ impl RunStore {
             }
         };
         self.persist(&records)?;
+        *guard = records;
         Ok(record)
     }
 
     fn persist(&self, records: &[RunRecord]) -> Result<(), String> {
+        self.persist_with(records, |file, json| file.write_all(json))
+    }
+
+    /// Persists `records` crash-safely, writing the JSON with `write`.
+    fn persist_with(
+        &self,
+        records: &[RunRecord],
+        write: impl FnOnce(&mut File, &[u8]) -> io::Result<()>,
+    ) -> Result<(), String> {
         let Some(file) = &self.file else {
             return Ok(());
         };
@@ -130,7 +192,8 @@ impl RunStore {
         }
         let json = serde_json::to_string_pretty(&records.to_vec())
             .map_err(|e| format!("run store serialisation failed: {e}"))?;
-        std::fs::write(file, json).map_err(|e| format!("{}: {e}", file.display()))
+        replace_file_with(file, |f| write(f, json.as_bytes()))
+            .map_err(|e| format!("{}: {e}", file.display()))
     }
 
     /// All records, in registration order.
@@ -226,6 +289,59 @@ mod tests {
         // A corrupt store file degrades to empty instead of failing.
         std::fs::write(dir.join("runs.json"), b"{not json").unwrap();
         assert!(RunStore::open(Some(&dir)).is_empty());
+    }
+
+    #[test]
+    fn failed_write_keeps_the_previous_store() {
+        let dir = tmp_dir("store-torn-write");
+        let store = RunStore::open(Some(&dir));
+        store
+            .register(1, Some("first"), Path::new("/tmp/a.pvta"))
+            .unwrap();
+        store
+            .register(2, Some("second"), Path::new("/tmp/b.pvta"))
+            .unwrap();
+        let mut records = store.list();
+        records.push(RunRecord {
+            digest: digest_hex(3),
+            label: "third".to_string(),
+            path: "/tmp/c.pvta".to_string(),
+            registered_unix: 0,
+        });
+        // The write dies halfway through the new document.
+        let err = store
+            .persist_with(&records, |file, json| {
+                file.write_all(&json[..json.len() / 2])?;
+                Err(io::Error::other("injected fault"))
+            })
+            .unwrap_err();
+        assert!(err.contains("injected fault"), "{err}");
+        let reopened = RunStore::open(Some(&dir));
+        assert_eq!(reopened.list(), store.list());
+        assert_eq!(reopened.find("first").unwrap().digest, digest_hex(1));
+        assert_eq!(reopened.find("second").unwrap().digest, digest_hex(2));
+        assert!(reopened.find("third").is_none());
+        // The temporary file is cleaned up: only runs.json remains.
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("runs.json")]);
+    }
+
+    #[test]
+    fn failed_registration_is_not_listed() {
+        // A regular file where the store directory should be: every
+        // persist fails.
+        let dir = tmp_dir("store-unwritable");
+        let blocker = dir.join("not-a-dir");
+        std::fs::write(&blocker, b"x").unwrap();
+        let store = RunStore::open(Some(&blocker.join("store")));
+        assert!(store
+            .register(5, Some("lost"), Path::new("/tmp/x.pvta"))
+            .is_err());
+        assert!(store.is_empty());
+        assert!(store.find("lost").is_none());
     }
 
     #[test]
