@@ -256,16 +256,23 @@ impl RobustScorer {
     }
 }
 
+/// Median under `f64::total_cmp` (mean of the two middle values for an
+/// even count; 0 for none) in O(n): one selection instead of a sort. The
+/// lower middle value of an even count is the `total_cmp` maximum of the
+/// part below the upper one. Values equal under `total_cmp` have
+/// identical bits, so the result is bit-identical to sorting.
 fn median_of(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
+    let n = values.len();
     if n == 0 {
-        0.0
-    } else if n % 2 == 1 {
-        v[n / 2]
+        return 0.0;
+    }
+    let mut v = values.to_vec();
+    let (below, &mut upper, _) = v.select_nth_unstable_by(n / 2, f64::total_cmp);
+    if n % 2 == 1 {
+        upper
     } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
+        let lower = below.iter().copied().max_by(f64::total_cmp).expect("n ≥ 2");
+        (lower + upper) / 2.0
     }
 }
 
@@ -368,6 +375,57 @@ mod tests {
     use crate::invocation::replay_all;
     use crate::segment::Segmentation;
     use perfvar_trace::{Clock, FunctionRole, Timestamp, Trace, TraceBuilder};
+    use proptest::prelude::*;
+
+    /// The sort-based median [`median_of`] replaced.
+    fn sorted_median(values: &[f64]) -> f64 {
+        let mut v = values.to_vec();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        if n == 0 {
+            0.0
+        } else if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            (v[n / 2 - 1] + v[n / 2]) / 2.0
+        }
+    }
+
+    fn median_input() -> impl Strategy<Value = f64> {
+        // A few repeated values (duplicates), signed zeros, infinities
+        // and NaNs of both signs among arbitrary finite values.
+        prop_oneof![
+            -4.0f64..4.0,
+            (0u8..4).prop_map(f64::from),
+            Just(0.0f64),
+            Just(-0.0f64),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            Just(-f64::NAN),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn selection_median_is_bit_identical_to_the_sorted_median(
+            values in proptest::collection::vec(median_input(), 0..40),
+        ) {
+            let (fast, sorted) = (median_of(&values), sorted_median(&values));
+            // The sign and payload of a NaN that `+` produces are not
+            // specified by the language (the compiler may commute the
+            // operands), so a NaN mean of the two middle values only has
+            // to be NaN; every other result, and every odd-count median
+            // (an element returned as is), must match bit for bit.
+            let both_nan_means = values.len() % 2 == 0 && fast.is_nan() && sorted.is_nan();
+            prop_assert!(
+                fast.to_bits() == sorted.to_bits() || both_nan_means,
+                "{fast} vs {sorted} on {values:?}"
+            );
+        }
+    }
 
     /// Builds a trace with `procs` processes × `iters` balanced segments
     /// of `base` ticks, plus an injected hot segment.

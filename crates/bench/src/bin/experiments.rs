@@ -81,12 +81,14 @@ fn main() {
     let regression = regression_benchmark(&mut report, &out_dir);
     let live = live_benchmark(&mut report, &out_dir);
     let diagnose = diagnose_benchmark(&mut report, &out_dir);
+    let decode = decode_benchmark(&out_dir);
     if let serde_json::Value::Object(fields) = &mut bench {
         fields.push(("serve".to_string(), serve));
         fields.push(("serve_load".to_string(), serve_load));
         fields.push(("regression".to_string(), regression));
         fields.push(("live".to_string(), live));
         fields.push(("diagnose".to_string(), diagnose));
+        fields.push(("decode".to_string(), decode));
     }
     let bench_path = out_dir.join("BENCH_pipeline.json");
     std::fs::write(&bench_path, serde_json::to_string_pretty(&bench).unwrap()).unwrap();
@@ -614,29 +616,34 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
     };
 
     let mut fused_s = Vec::new();
-    for threads in [1usize, 2, 4] {
+    for threads in [1usize, 2, 4, 8] {
         let t = time_reps(&mut || {
             analyze(&trace, &cfg_at(threads)).unwrap();
         });
         fused_s.push((threads, t));
     }
-    // The gated pair is interleaved (one rep of each per round) so slow
-    // rounds on a shared box hit both measurements equally.
-    let (reference_t, fused8_t) = time_interleaved(
-        &mut || {
-            analyze_reference(&trace, &cfg_at(1)).unwrap();
-        },
-        &mut || {
-            analyze(&trace, &cfg_at(8)).unwrap();
-        },
-    );
-    fused_s.push((8, fused8_t));
-    let reference_s = reference_t.best;
     let fused_best = fused_s
         .iter()
         .map(|(_, t)| t.best)
         .fold(f64::INFINITY, f64::min);
-    let fused_at_8 = fused_s.iter().find(|(n, _)| *n == 8).unwrap().1.best;
+    // The gated pair runs on a 10× longer stencil (~1.2M events, the
+    // reference ~0.5 s a rep), so that no single scheduling window of a
+    // shared box decides it, and is interleaved (one rep of each per
+    // round) so slow rounds hit both measurements equally.
+    let gate_iterations = 2000;
+    let gate_trace = perfvar_bench::counter_stencil_trace(64, gate_iterations);
+    let (reference_t, fused8_t) = time_interleaved(
+        &mut || {
+            analyze_reference(&gate_trace, &cfg_at(1)).unwrap();
+        },
+        &mut || {
+            analyze(&gate_trace, &cfg_at(8)).unwrap();
+        },
+    );
+    let gate_events = gate_trace.num_events() as u64;
+    drop(gate_trace);
+    let reference_s = reference_t.best;
+    let fused_at_8 = fused8_t.best;
     let speedup = reference_s / fused_at_8;
 
     // Peak working-set sizes: the reference materialises every
@@ -829,8 +836,15 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
             "overhead_fraction": overhead,
             "stats": stats,
         }),
+        "gate_trace": serde_json::json!({
+            "workload": "counter-stencil",
+            "ranks": 64,
+            "iterations": gate_iterations,
+            "events": gate_events,
+        }),
         "reference_sequential_s": reference_s,
         "reference_sequential": reference_t.to_json(),
+        "fused8_gate": fused8_t.to_json(),
         "fused_s": fused_s
             .iter()
             .map(|(n, t)| timing_row(*n, t))
@@ -859,8 +873,9 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
         "fused analyze() ≥1.5× faster; worker state shrinks from \
          O(invocations) to O(stack + segments + functions)",
         format!(
-            "reference {:.3} s, fused@8 {:.3} s ({speedup:.2}×); \
-             {:.1}M events/s; peak state {reference_peak} invocations → {fused_peak} rows",
+            "{gate_events} events: reference {:.3} s, fused@8 {:.3} s ({speedup:.2}×); \
+             {events} events: {:.1}M events/s; peak state {reference_peak} invocations → \
+             {fused_peak} rows",
             reference_s,
             fused_at_8,
             events as f64 / fused_best / 1e6,
@@ -895,6 +910,78 @@ fn pipeline_benchmark(report: &mut Report, out_dir: &Path) -> serde_json::Value 
         telemetry_ok,
     );
 
+    json
+}
+
+/// The decode layer on its own: `ArchiveCursor::next_chunk` over every
+/// rank of the 2.4M-event cosmo-specs 400 × 500 archive (`perfvar
+/// generate cosmo-specs --ranks 400 --iterations 500`) at 1 thread, no
+/// replay. Recorded, not gated: the `decode` object of
+/// `BENCH_pipeline.json`, best/median/stddev in Mev/s and MiB/s.
+fn decode_benchmark(out_dir: &Path) -> serde_json::Value {
+    use perfvar_sim::workloads::{CosmoSpecs, Workload};
+    use perfvar_trace::format::cursor::ArchiveCursor;
+
+    let (ranks, iterations) = (400usize, 500usize);
+    let archive = out_dir.join("bench-archives").join("cosmo-400.pvta");
+    std::fs::create_dir_all(&archive).unwrap();
+    // `--ranks 400` is read as a 20 × 20 grid.
+    let trace = perfvar_sim::simulate(&CosmoSpecs::small(20, 20, iterations).spec()).unwrap();
+    perfvar_trace::format::write_trace_file(&trace, &archive).unwrap();
+    let events = trace.num_events() as u64;
+    drop(trace);
+    let stream_bytes: u64 = std::fs::read_dir(&archive)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum();
+
+    let cursor = ArchiveCursor::open(&archive).unwrap();
+    let mut chunk = Vec::new();
+    let mut decode_all = || {
+        let mut decoded = 0u64;
+        for pid in cursor.registry().process_ids() {
+            let mut stream = cursor.stream(pid).unwrap();
+            while stream.next_chunk(&mut chunk, 4096).unwrap() > 0 {
+                decoded += chunk.len() as u64;
+            }
+        }
+        assert_eq!(decoded, events);
+    };
+    decode_all(); // warm the page cache
+    let reps = 9;
+    let seconds: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            decode_all();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    // Throughput per rep, so best is the highest rate.
+    let rate = |units: f64| {
+        let mut r: Vec<f64> = seconds.iter().map(|s| units / s).collect();
+        r.sort_by(|a, b| b.total_cmp(a));
+        let mean = r.iter().sum::<f64>() / r.len() as f64;
+        let var = r.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / r.len() as f64;
+        serde_json::json!({ "best": r[0], "median": r[r.len() / 2], "stddev": var.sqrt() })
+    };
+    let json = serde_json::json!({
+        "workload": "cosmo-specs",
+        "ranks": ranks,
+        "iterations": iterations,
+        "events": events,
+        "archive_bytes": stream_bytes,
+        "threads": 1,
+        "chunk_records": 4096,
+        "reps": reps,
+        "time": Timing::of_samples(seconds.clone()).to_json(),
+        "mev_per_s": rate(events as f64 / 1e6),
+        "mib_per_s": rate(stream_bytes as f64 / (1024.0 * 1024.0)),
+    });
+    println!(
+        "    decode: {events} events, {:.1} MiB, best {:.1} M events/s",
+        stream_bytes as f64 / (1024.0 * 1024.0),
+        events as f64 / 1e6 / seconds.iter().copied().fold(f64::INFINITY, f64::min)
+    );
     json
 }
 

@@ -30,7 +30,7 @@
 
 use super::archive::{read_anchor, stream_file, STREAM_MAGIC};
 use super::mmap::FileReader;
-use super::varint::{decode_u64_slice, read_u64};
+use super::varint::{decode_u64_slice, fold_leb128_groups, read_u64};
 use crate::error::{TraceError, TraceResult};
 use crate::event::{Event, EventRecord};
 use crate::ids::{FunctionId, MetricId, ProcessId};
@@ -119,10 +119,65 @@ pub(crate) fn decode_event<R: BufRead>(r: &mut R, prev_time: u64) -> TraceResult
 
 /// Slice fast path of [`decode_event`]: the buffer is known to hold a
 /// full record, so every field is decoded with plain index arithmetic.
-/// `None` on any malformed field — the caller re-decodes from the stream
-/// to produce the error.
+/// An Enter/Leave record whose three varints fit in the first 8 bytes —
+/// nearly every record of a real trace — comes from one word load
+/// ([`decode_enter_leave_word`]); every other record, and any record
+/// the word path declines, is decoded field by field. `None` on any
+/// malformed field — the caller re-decodes from the stream to produce
+/// the error.
 #[inline]
 fn decode_event_slice(buf: &[u8], prev_time: u64) -> Option<(usize, u64, Event)> {
+    if let Some(bytes) = buf.first_chunk::<8>() {
+        let word = u64::from_le_bytes(*bytes);
+        if word & 0xff <= 1 {
+            if let Some(decoded) = decode_enter_leave_word(word, prev_time) {
+                return Some(decoded);
+            }
+        }
+    }
+    decode_event_fields(buf, prev_time)
+}
+
+/// Decodes an Enter/Leave record from its first 8 bytes, read as one
+/// little-endian word whose low byte (the tag) is known to be 0 or 1.
+///
+/// The tag byte holds the first stop bit (a byte without a continuation
+/// bit); clearing the lowest stop twice with `x & (x - 1)` finds the
+/// bytes that end the time delta and the function id, and each field is
+/// masked out of the word and packed by [`fold_leb128_groups`]. `None`
+/// declines — the two varints do not end within the word, the delta
+/// overflows the timestamp, or the id does not fit a `u32` — and the
+/// field-by-field path then decides the record, so the word path can
+/// only ever return what that path returns.
+#[inline]
+fn decode_enter_leave_word(word: u64, prev_time: u64) -> Option<(usize, u64, Event)> {
+    const STOP_BITS: u64 = 0x8080_8080_8080_8080;
+    let stops = !word & STOP_BITS;
+    let after_tag = stops & stops.wrapping_sub(1);
+    let after_delta = after_tag & after_tag.wrapping_sub(1);
+    if after_delta == 0 {
+        return None;
+    }
+    // Bit lengths up to and including the delta and the function id:
+    // multiples of 8, with 8 < delta_end < end ≤ 64.
+    let delta_end = after_tag.trailing_zeros() + 1;
+    let end = after_delta.trailing_zeros() + 1;
+    let delta_bytes = (word >> 8) & ((1u64 << (delta_end - 8)) - 1);
+    let function_bytes = (word >> delta_end) & ((1u64 << (end - delta_end)) - 1);
+    let time = prev_time.checked_add(fold_leb128_groups(delta_bytes))?;
+    let function = FunctionId(u32::try_from(fold_leb128_groups(function_bytes)).ok()?);
+    let event = if word & 1 == 0 {
+        Event::Enter { function }
+    } else {
+        Event::Leave { function }
+    };
+    Some(((end / 8) as usize, time, event))
+}
+
+/// Field-by-field slice decoder: one [`decode_u64_slice`] per varint,
+/// for every tag. `None` on any malformed field.
+#[inline]
+fn decode_event_fields(buf: &[u8], prev_time: u64) -> Option<(usize, u64, Event)> {
     #[inline]
     fn take_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
         let (v, n) = decode_u64_slice(&buf[*pos..])?;
@@ -201,6 +256,7 @@ fn decode_event_stream<R: BufRead>(r: &mut R, prev_time: u64) -> TraceResult<(u6
 /// and the running call stack (references in range, balanced nesting).
 /// Timestamp monotonicity is implied by the delta coding and checked by
 /// [`decode_event`]'s overflow test.
+#[inline]
 pub(crate) fn check_event(
     shape: RegistryShape,
     process: ProcessId,
@@ -423,49 +479,52 @@ impl<R: BufRead> StreamCursor<R> {
     /// times, but whole records within the buffered slice are decoded
     /// with one `fill_buf`/`consume` pair per refill instead of one per
     /// record — with a mapped file the slice is the entire remaining
-    /// stream, so the hot loop is pure index arithmetic. Any anomaly
-    /// (malformed field, validation failure, buffer boundary, end of
-    /// stream) leaves the reader positioned at the offending record and
-    /// falls back to `next_record`, which reproduces the exact error,
-    /// offset and end-of-stream certification of the one-at-a-time path.
-    /// On `Err`, `out` holds the records decoded before the failure.
+    /// stream. Per refill the loop keeps the previous timestamp, the
+    /// record budget and the slice position in locals, stops at the last
+    /// position where a whole record still fits, and writes the cursor
+    /// state back once. Any anomaly (malformed field, validation
+    /// failure, buffer boundary, end of stream) leaves the reader
+    /// positioned at the offending record and falls back to
+    /// `next_record`, which reproduces the exact error, offset and
+    /// end-of-stream certification of the one-at-a-time path. On `Err`,
+    /// `out` holds the records decoded before the failure.
     pub fn next_chunk(&mut self, out: &mut Vec<EventRecord>, max: usize) -> TraceResult<usize> {
         out.clear();
         while out.len() < max && self.remaining > 0 && !self.done && !self.poisoned {
+            // The tail path re-encounters and reports a read error.
+            let Ok(buf) = self.reader.fill_buf() else {
+                break;
+            };
+            let Some(last) = buf.len().checked_sub(MAX_EVENT_BYTES) else {
+                break;
+            };
+            let budget = ((max - out.len()) as u64).min(self.remaining);
+            // A record takes at least 3 bytes, so at most `last / 3 + 1`
+            // start at or before `last`: the reservation stays bounded by
+            // the input even when the declared count is not.
+            out.reserve(budget.min(last as u64 / 3 + 1) as usize);
+            let mut prev_time = self.prev_time;
+            let mut decoded = 0u64;
             let mut pos = 0usize;
             let mut clean = true;
-            match self.reader.fill_buf() {
-                // The tail path re-encounters and reports the error.
-                Err(_) => break,
-                Ok(buf) => {
-                    if buf.len() < MAX_EVENT_BYTES {
-                        break;
-                    }
-                    while out.len() < max
-                        && self.remaining > 0
-                        && buf.len() - pos >= MAX_EVENT_BYTES
-                    {
-                        let Some((used, time, event)) =
-                            decode_event_slice(&buf[pos..], self.prev_time)
-                        else {
-                            clean = false;
-                            break;
-                        };
-                        if check_event(self.shape, self.process, time, &event, &mut self.stack)
-                            .is_err()
-                        {
-                            // `check_event` mutates nothing on failure;
-                            // the record stays unconsumed for the tail.
-                            clean = false;
-                            break;
-                        }
-                        self.prev_time = time;
-                        self.remaining -= 1;
-                        out.push(EventRecord::new(Timestamp(time), event));
-                        pos += used;
-                    }
+            while decoded < budget && pos <= last {
+                let Some((used, time, event)) = decode_event_slice(&buf[pos..], prev_time) else {
+                    clean = false;
+                    break;
+                };
+                // `check_event` mutates nothing on failure; the record
+                // stays unconsumed for the tail.
+                if check_event(self.shape, self.process, time, &event, &mut self.stack).is_err() {
+                    clean = false;
+                    break;
                 }
+                out.push(EventRecord::new(Timestamp(time), event));
+                prev_time = time;
+                decoded += 1;
+                pos += used;
             }
+            self.prev_time = prev_time;
+            self.remaining -= decoded;
             self.reader.consume(pos);
             if !clean {
                 break;
@@ -915,6 +974,34 @@ mod tests {
     }
 
     #[test]
+    fn next_chunk_reservation_is_bounded_by_the_input() {
+        // A stream declaring 2^62 records but holding 100: an unbounded
+        // chunk must fail at the end of the bytes without reserving room
+        // for the declared count.
+        use crate::format::varint::write_u64;
+        let t = sample(1);
+        let dir = tmp("hugecount.pvta");
+        write_archive(&t, &dir).unwrap();
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(STREAM_MAGIC);
+        write_u64(&mut bytes, 0).unwrap(); // declared index
+        write_u64(&mut bytes, 1 << 62).unwrap(); // declared count
+        for i in 0..100 {
+            write_u64(&mut bytes, i % 2).unwrap(); // Enter, Leave, …
+            write_u64(&mut bytes, 1).unwrap(); // delta
+            write_u64(&mut bytes, 0).unwrap(); // function 0
+        }
+        std::fs::write(dir.join(stream_file(0)), &bytes).unwrap();
+        let archive = ArchiveCursor::open(&dir).unwrap();
+        let mut cursor = archive.stream(ProcessId(0)).unwrap();
+        let mut out = Vec::new();
+        let err = cursor.next_chunk(&mut out, usize::MAX).unwrap_err();
+        assert!(matches!(err, TraceError::CorruptStream { .. }), "{err}");
+        assert_eq!(out.len(), 100);
+        assert!(out.capacity() < 1000, "capacity {}", out.capacity());
+    }
+
+    #[test]
     fn empty_stream_is_clean() {
         let mut b = TraceBuilder::new(Clock::microseconds());
         b.define_process("idle");
@@ -925,5 +1012,336 @@ mod tests {
         let mut cursor = archive.stream(ProcessId(0)).unwrap();
         assert_eq!(cursor.remaining(), 0);
         assert!(cursor.next_record().unwrap().is_none());
+    }
+
+    /// The one-word Enter/Leave path against the field-by-field decoder
+    /// it sits in front of, on raw bytes and on encoded records.
+    mod word_path {
+        use super::*;
+        use crate::format::varint::{write_u64, write_u64_padded};
+        use proptest::prelude::*;
+
+        fn byte() -> impl Strategy<Value = u8> {
+            // Tags 0/1, stop bytes and continuation bytes, all common.
+            prop_oneof![0u8..2, 0u8..0x80, 0x80u8..=0xff, Just(0xffu8)]
+        }
+
+        fn prev_time() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                0u64..1 << 20,
+                u64::MAX - (1 << 20)..=u64::MAX,
+                0u64..=u64::MAX
+            ]
+        }
+
+        fn value() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                0u64..0x80,
+                0u64..1 << 21,
+                0u64..1 << 42,
+                u32::MAX as u64 - 2..=u32::MAX as u64 + 2,
+                0u64..=u64::MAX
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            #[test]
+            fn word_path_equals_field_path_on_raw_bytes(
+                buf in proptest::collection::vec(byte(), MAX_EVENT_BYTES..MAX_EVENT_BYTES + 40),
+                prev in prev_time(),
+            ) {
+                prop_assert_eq!(
+                    decode_event_slice(&buf, prev),
+                    decode_event_fields(&buf, prev)
+                );
+            }
+
+            /// Records of every tag, each varint written canonically or
+            /// padded to ten bytes, followed by arbitrary bytes.
+            #[test]
+            fn word_path_equals_field_path_on_records(
+                tag in prop_oneof![0u64..2, 0u64..6, 0u64..=u64::MAX],
+                // Delta, then up to three payload fields; 0 = padded.
+                fields in proptest::collection::vec((value(), 0u8..4), 5..6),
+                tail in proptest::collection::vec(byte(), MAX_EVENT_BYTES..MAX_EVENT_BYTES + 1),
+                prev in prev_time(),
+            ) {
+                let mut buf = Vec::new();
+                let mut ends = Vec::new();
+                for (i, &(v, pad)) in fields.iter().enumerate() {
+                    let v = if i == 0 { tag } else { v };
+                    if pad == 0 {
+                        write_u64_padded(&mut buf, v).unwrap();
+                    } else {
+                        write_u64(&mut buf, v).unwrap();
+                    }
+                    ends.push(buf.len());
+                }
+                buf.extend_from_slice(&tail);
+                let decoded = decode_event_slice(&buf, prev);
+                prop_assert_eq!(decoded, decode_event_fields(&buf, prev));
+                // A canonical Enter/Leave record within 8 bytes takes the
+                // word path and decodes to what was written.
+                let (delta, function) = (fields[1].0, fields[2].0);
+                let canonical = fields[..3].iter().all(|&(_, pad)| pad != 0);
+                if tag <= 1 && canonical && ends[2] <= 8 {
+                    let word = u64::from_le_bytes(*buf.first_chunk::<8>().unwrap());
+                    let expected = match (prev.checked_add(delta), u32::try_from(function)) {
+                        (Some(time), Ok(f)) => {
+                            let function = FunctionId(f);
+                            let event = if tag == 0 {
+                                Event::Enter { function }
+                            } else {
+                                Event::Leave { function }
+                            };
+                            Some((ends[2], time, event))
+                        }
+                        _ => None,
+                    };
+                    prop_assert_eq!(decode_enter_leave_word(word, prev), expected);
+                    prop_assert_eq!(decoded, expected);
+                }
+            }
+        }
+
+        #[test]
+        fn every_field_split_of_the_word_decodes() {
+            // Delta and function lengths that exactly fill, underfill and
+            // overflow the 8-byte word, at both ends of each length.
+            for tag in [0u64, 1] {
+                for delta_len in 1..=8u32 {
+                    for function_len in 1..=6u32 {
+                        // The smallest and largest values of each length.
+                        let low = |len: u32| if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+                        let high = |len: u32| (1u64 << (7 * len)) - 1;
+                        for (delta, function) in [
+                            (low(delta_len), low(function_len)),
+                            (high(delta_len), high(function_len)),
+                        ] {
+                            let mut buf = Vec::new();
+                            write_u64(&mut buf, tag).unwrap();
+                            write_u64(&mut buf, delta).unwrap();
+                            write_u64(&mut buf, function).unwrap();
+                            let len = buf.len();
+                            buf.resize(MAX_EVENT_BYTES, 0xff);
+                            let decoded = decode_event_slice(&buf, 7);
+                            assert_eq!(decoded, decode_event_fields(&buf, 7));
+                            let expected = u32::try_from(function).ok().map(|f| {
+                                let function = FunctionId(f);
+                                let event = if tag == 0 {
+                                    Event::Enter { function }
+                                } else {
+                                    Event::Leave { function }
+                                };
+                                (len, 7 + delta, event)
+                            });
+                            assert_eq!(decoded, expected, "tag {tag} delta {delta} fn {function}");
+                            let word = u64::from_le_bytes(*buf.first_chunk::<8>().unwrap());
+                            let fits = len <= 8 && expected.is_some();
+                            assert_eq!(decode_enter_leave_word(word, 7).is_some(), fits);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Byte flips and truncations of generated archives: every read path
+    /// — `next_record`, `next_chunk` at several sizes, mapped and
+    /// buffered — yields the same records and the same error, and an
+    /// intact or still-valid run matches the PVT batch reader.
+    mod mutation {
+        use super::*;
+        use crate::format::pvt;
+        use crate::registry::MetricMode;
+        use proptest::prelude::*;
+
+        /// A trace of nested calls, metric samples (up to 64-bit values)
+        /// and messages, with deltas from 0 to ~2^45 ticks.
+        fn generated(seed: u64, processes: usize, steps: usize) -> Trace {
+            let mut state = seed | 1;
+            let mut next = move |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let mut b = TraceBuilder::new(Clock::microseconds()).with_name("mutated");
+            let functions: Vec<FunctionId> = (0..200)
+                .map(|i| b.define_function(format!("f{i}"), FunctionRole::Compute))
+                .collect();
+            let metric = b.define_metric("cycles", MetricMode::Accumulating, "cycles");
+            let pids: Vec<ProcessId> = (0..processes)
+                .map(|i| b.define_process(format!("rank {i}")))
+                .collect();
+            for &p in &pids {
+                let mut t = 0u64;
+                let mut stack = Vec::new();
+                for _ in 0..steps {
+                    t += match next(10) {
+                        0..=5 => next(4),
+                        6..=8 => next(1 << 14),
+                        _ => next(1 << 45),
+                    };
+                    let w = b.process_mut(p);
+                    match next(8) {
+                        0..=2 if stack.len() < 8 => {
+                            let f = functions[next(functions.len() as u64) as usize];
+                            w.enter(Timestamp(t), f).unwrap();
+                            stack.push(f);
+                        }
+                        0..=4 if !stack.is_empty() => {
+                            w.leave(Timestamp(t), stack.pop().unwrap()).unwrap();
+                        }
+                        5 => w.metric(Timestamp(t), metric, next(u64::MAX)).unwrap(),
+                        6 => {
+                            let to = pids[next(processes as u64) as usize];
+                            w.send(Timestamp(t), to, next(1 << 20) as u32, next(1 << 40))
+                                .unwrap();
+                        }
+                        _ => {
+                            let from = pids[next(processes as u64) as usize];
+                            w.recv(Timestamp(t), from, next(300) as u32, next(1 << 10))
+                                .unwrap();
+                        }
+                    }
+                }
+                while let Some(f) = stack.pop() {
+                    b.process_mut(p).leave(Timestamp(t), f).unwrap();
+                }
+            }
+            b.finish().unwrap()
+        }
+
+        /// Records decoded before the stream ended or failed, and the
+        /// failure's `Display` and offset.
+        type Run = (Vec<EventRecord>, Option<(String, Option<u64>)>);
+
+        fn failure(e: TraceError) -> Option<(String, Option<u64>)> {
+            let offset = match e {
+                TraceError::CorruptStream { offset, .. } => Some(offset),
+                _ => None,
+            };
+            Some((e.to_string(), offset))
+        }
+
+        fn run(archive: &ArchiveCursor, pid: ProcessId, chunk: Option<usize>) -> Run {
+            let mut records = Vec::new();
+            let mut cursor = match archive.stream(pid) {
+                Ok(c) => c,
+                Err(e) => return (records, failure(e)),
+            };
+            let mut buf = Vec::new();
+            loop {
+                let step = match chunk {
+                    None => cursor.next_record().map(|r| {
+                        records.extend(r);
+                        usize::from(r.is_some())
+                    }),
+                    Some(max) => {
+                        let n = cursor.next_chunk(&mut buf, max);
+                        records.extend_from_slice(&buf);
+                        n
+                    }
+                };
+                match step {
+                    Ok(0) => return (records, None),
+                    Ok(_) => {}
+                    Err(e) => return (records, failure(e)),
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(160))]
+
+            #[test]
+            fn read_paths_agree_on_flipped_and_truncated_archives(
+                seed in 0u64..=u64::MAX,
+                processes in 1usize..4,
+                steps in 1usize..120,
+                victim in 0usize..4,
+                flips in proptest::collection::vec((0usize..4096, 1u8..=255), 0..4),
+                cut in prop_oneof![Just(0usize), 0usize..64],
+            ) {
+                let trace = generated(seed, processes, steps);
+                let dir = tmp(&format!("mutation-{}.pvta", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                write_archive(&trace, &dir).unwrap();
+                let victim = victim % processes;
+                let path = dir.join(stream_file(victim));
+                let mut bytes = std::fs::read(&path).unwrap();
+                for &(at, mask) in &flips {
+                    let at = at % bytes.len();
+                    bytes[at] ^= mask;
+                }
+                bytes.truncate(bytes.len() - cut.min(bytes.len()));
+                std::fs::write(&path, &bytes).unwrap();
+
+                // A 1-byte window request maps every file over 64 bytes;
+                // the buffered path refills every 64 bytes.
+                let mapped = ArchiveCursor::open_with(
+                    &dir,
+                    CursorOptions { mmap: true, read_buffer_bytes: 1 },
+                )
+                .unwrap();
+                let buffered = ArchiveCursor::open_with(
+                    &dir,
+                    CursorOptions { mmap: false, read_buffer_bytes: 64 },
+                )
+                .unwrap();
+                let mut runs = Vec::new();
+                for pid in trace.registry().process_ids() {
+                    let reference = run(&mapped, pid, None);
+                    for chunk in [Some(1), Some(7), Some(1024)] {
+                        let got = run(&mapped, pid, chunk);
+                        prop_assert!(got == reference, "mapped {pid} {chunk:?}: {got:?} vs {reference:?}");
+                    }
+                    for chunk in [None, Some(7), Some(1024)] {
+                        let got = run(&buffered, pid, chunk);
+                        prop_assert!(got == reference, "buffered {pid} {chunk:?}: {got:?} vs {reference:?}");
+                    }
+                    if pid.index() != victim || (flips.is_empty() && cut == 0) {
+                        prop_assert_eq!(&reference, &(trace.stream(pid).records().to_vec(), None));
+                    }
+                    runs.push(reference);
+                }
+
+                // When every stream still reads clean, a PVT file made of
+                // the same stream bodies reads to the same records.
+                if runs.iter().all(|(_, err)| err.is_none()) {
+                    let whole = pvt::to_bytes(&trace).unwrap();
+                    let body = |i: usize| {
+                        let file = std::fs::read(dir.join(stream_file(i))).unwrap();
+                        let (_, index_len) = decode_u64_slice(&file[4..]).unwrap();
+                        file[4 + index_len..].to_vec()
+                    };
+                    let original: usize = trace
+                        .streams()
+                        .iter()
+                        .map(|s| {
+                            let mut b = Vec::new();
+                            pvt::write_stream_events(s.records(), &mut b).unwrap();
+                            b.len()
+                        })
+                        .sum();
+                    let header = whole.len() - original - 4;
+                    let mut spliced = whole[..header].to_vec();
+                    for i in 0..processes {
+                        spliced.extend(body(i));
+                    }
+                    spliced.extend_from_slice(&whole[whole.len() - 4..]);
+                    let read = pvt::from_bytes(&spliced);
+                    prop_assert!(read.is_ok(), "{:?}", read.err());
+                    let read = read.unwrap();
+                    for (pid, (records, _)) in read.registry().process_ids().zip(&runs) {
+                        prop_assert_eq!(read.stream(pid).records(), &records[..]);
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }

@@ -58,20 +58,26 @@ pub fn read_u64<R: BufRead>(r: &mut R) -> TraceResult<u64> {
 }
 
 /// Decodes one unsigned LEB128 value from the front of a slice, returning
-/// the value and its encoded length. `None` when the slice ends inside
-/// the varint or the encoding overflows u64 — callers fall back to
-/// [`read_u64`]'s bytewise path, which reproduces the exact error without
-/// having consumed anything.
+/// the value and its encoded length. `None` when the slice is empty or
+/// ends inside the varint, or the encoding overflows u64 — callers fall
+/// back to [`read_u64`]'s bytewise path, which reproduces the exact error
+/// without having consumed anything.
 ///
-/// When at least 8 bytes are available the varint is decoded with SWAR:
-/// one 8-byte little-endian load, a branchless continuation-bit scan
-/// (`trailing_zeros` of the inverted top bits gives the length), then a
-/// three-step pairwise fold that packs the 7-bit groups of all lanes at
-/// once. Varints of up to 8 bytes (56 value bits) — every id, tag, delta
-/// and all but pathological metric values — never touch the scalar loop;
-/// longer encodings and slice tails fall back to it.
+/// A first byte without a continuation bit is the whole value and
+/// returns at once: tags, most ids and most deltas are single bytes.
+/// Longer varints, when at least 8 bytes are available, are decoded with
+/// SWAR: one 8-byte little-endian load, a branchless continuation-bit
+/// scan (`trailing_zeros` of the inverted top bits gives the length),
+/// then [`fold_leb128_groups`]. Varints of up to 8 bytes (56 value bits)
+/// never touch the scalar loop; longer encodings and slice tails fall
+/// back to it.
 #[inline]
 pub(crate) fn decode_u64_slice(buf: &[u8]) -> Option<(u64, usize)> {
+    if let Some(&b) = buf.first() {
+        if b < 0x80 {
+            return Some((b as u64, 1));
+        }
+    }
     if buf.len() >= 8 {
         let word = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes checked"));
         let stops = !word & 0x8080_8080_8080_8080;
@@ -82,7 +88,7 @@ pub(crate) fn decode_u64_slice(buf: &[u8]) -> Option<(u64, usize)> {
             } else {
                 word & ((1u64 << (len * 8)) - 1)
             };
-            return Some((fold_leb128_groups(masked & 0x7f7f_7f7f_7f7f_7f7f), len));
+            return Some((fold_leb128_groups(masked), len));
         }
         // All 8 loaded bytes carry continuation bits: a 9- or 10-byte
         // varint (or garbage); the scalar loop sorts it out.
@@ -90,11 +96,13 @@ pub(crate) fn decode_u64_slice(buf: &[u8]) -> Option<(u64, usize)> {
     decode_u64_slice_scalar(buf)
 }
 
-/// Packs the eight 7-bit LEB128 groups of a continuation-stripped
-/// little-endian word into one value: `Σ byte[i] << 7·i`. Three pairwise
-/// steps (7→14→28→56-bit lanes), no data-dependent branches.
+/// Packs the eight 7-bit LEB128 groups of a little-endian word into one
+/// value: `Σ (byte[i] & 0x7f) << 7·i`. Three pairwise steps
+/// (7→14→28→56-bit lanes), no data-dependent branches. The first step
+/// drops every continuation bit; bytes past the varint must already be
+/// masked to zero.
 #[inline]
-fn fold_leb128_groups(x: u64) -> u64 {
+pub(crate) fn fold_leb128_groups(x: u64) -> u64 {
     let x = ((x & 0x7f00_7f00_7f00_7f00) >> 1) | (x & 0x007f_007f_007f_007f);
     let x = ((x & 0x3fff_0000_3fff_0000) >> 2) | (x & 0x0000_3fff_0000_3fff);
     ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff)
